@@ -485,7 +485,6 @@ impl GpuEngine {
         let mut last_kernel_on_slot: Vec<Option<EventId>> = vec![None; copies];
         let mut last_read_on_slot: Vec<Option<EventId>> = vec![None; copies];
         let mut word_ops: u128 = 0;
-        let mut kernel_cycles_ns = 0f64;
 
         // Stages and enqueues the B chunk at index `i`. Borrows it needs
         // mutably are threaded as parameters so calls interleave with the
@@ -546,7 +545,6 @@ impl GpuEngine {
 
                 let kplan = KernelPlan::new(&self.spec, cfg, op, mc.len(), nc.len(), k);
                 word_ops += kplan.word_ops;
-                kernel_cycles_ns += kplan.time(&self.spec).total_ns;
                 let mut kdeps = vec![ev_a, ev_b];
                 if let Some(ev) = last_read_on_slot[slot] {
                     // The C staging buffer must drain before being rewritten.
@@ -685,7 +683,6 @@ impl GpuEngine {
             }
         }
         let kernel_profiles = collect_kernel_profiles(self.options.profile, &gpu, &kernel_events);
-        let _ = kernel_cycles_ns; // retained for future per-pass reporting
         Ok(RunReport {
             gamma,
             timing,

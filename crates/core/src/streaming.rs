@@ -52,27 +52,73 @@ pub struct TopKReport {
     pub recovery: Option<RecoverySummary>,
 }
 
-/// Merges `candidates` into the per-query top-k lists.
-fn merge_topk(best: &mut Vec<Match>, candidates: impl IntoIterator<Item = Match>, k: usize) {
-    best.extend(candidates);
-    best.sort_by_key(|m| (m.differences, m.profile));
-    best.truncate(k);
+/// The bounded k-slot selector behind every top-k list in this module.
+///
+/// `best` holds at most `k` matches, ascending by `(differences, profile)`.
+/// Once it is full, a candidate with `differences` no lower than the worst
+/// costs one comparison and is dropped: the host counterpart of the one
+/// compare-select per `γ` element that [`reduction_cost`] models. A lower
+/// one is inserted in order and the worst falls off. Candidates that tie
+/// on `differences` must arrive in ascending profile order, as they do when
+/// rows are scanned left to right and chunk winners merge in database
+/// order, so a tie never displaces an earlier profile.
+fn offer(best: &mut Vec<Match>, k: usize, profile: usize, differences: u32) {
+    if best.len() >= k {
+        match best.last() {
+            Some(worst) if differences < worst.differences => best.truncate(k - 1),
+            _ => return,
+        }
+    }
+    let at = best.partition_point(|m| m.differences <= differences);
+    best.insert(
+        at,
+        Match {
+            profile,
+            differences,
+        },
+    );
 }
 
-/// Host-side reference: top-k from a full γ row (used by tests and by the
-/// functional reduction).
+/// Offers every entry of the `γ` row `row`, whose first entry is database
+/// row `base_index`, to the selector `best`.
+fn select_row(best: &mut Vec<Match>, row: &[u32], base_index: usize, k: usize) {
+    for (j, &d) in row.iter().enumerate() {
+        offer(best, k, base_index + j, d);
+    }
+}
+
+/// Top-k of a full `γ` row: the `k` lowest difference counts, ascending,
+/// ties broken by profile index.
 pub fn topk_of_row(row: &[u32], base_index: usize, k: usize) -> Vec<Match> {
-    let mut v: Vec<Match> = row
-        .iter()
-        .enumerate()
-        .map(|(j, &d)| Match {
-            profile: base_index + j,
-            differences: d,
-        })
-        .collect();
-    v.sort_by_key(|m| (m.differences, m.profile));
-    v.truncate(k);
-    v
+    let mut best = Vec::with_capacity(k.min(row.len()));
+    select_row(&mut best, row, base_index, k);
+    best
+}
+
+/// The reduction kernel's functional body. For each row of the `γ` chunk
+/// (rows of `n_len` entries, the first being database row `base`), writes
+/// the row's winners as `(profile, differences)` pairs into its `k` slots
+/// of `out`, padding unused slots with `u32::MAX`.
+fn reduce_chunk(gamma: &[u32], out: &mut [u32], n_len: usize, base: usize, k: usize) {
+    let mut best = Vec::with_capacity(k);
+    for (row, slots) in gamma.chunks_exact(n_len).zip(out.chunks_exact_mut(2 * k)) {
+        best.clear();
+        select_row(&mut best, row, base, k);
+        for (s, pair) in slots.chunks_exact_mut(2).enumerate() {
+            pair[0] = best.get(s).map_or(u32::MAX, |mt| mt.profile as u32);
+            pair[1] = best.get(s).map_or(u32::MAX, |mt| mt.differences);
+        }
+    }
+}
+
+/// Merges one chunk's winner readback `out`, laid out as [`reduce_chunk`]
+/// writes it, into the per-query lists.
+fn merge_winners(lists: &mut [Vec<Match>], out: &[u32], k: usize) {
+    for (list, slots) in lists.iter_mut().zip(out.chunks_exact(2 * k)) {
+        for pair in slots.chunks_exact(2).take_while(|p| p[0] != u32::MAX) {
+            offer(list, k, pair[0] as usize, pair[1]);
+        }
+    }
 }
 
 impl GpuEngine {
@@ -212,22 +258,7 @@ impl GpuEngine {
                     &[c_bufs[slot]],
                     t_bufs[slot],
                     &[ev_k],
-                    move |reads, out| {
-                        let gamma = reads[0];
-                        for q in 0..m {
-                            let row = &gamma[q * n_len_r..(q + 1) * n_len_r];
-                            let top = topk_of_row(row, base, k);
-                            for (slot_idx, mt) in top.iter().enumerate() {
-                                out[(q * k + slot_idx) * 2] = mt.profile as u32;
-                                out[(q * k + slot_idx) * 2 + 1] = mt.differences;
-                            }
-                            // Pad unused slots with sentinel (u32::MAX).
-                            for s in top.len()..k {
-                                out[(q * k + s) * 2] = u32::MAX;
-                                out[(q * k + s) * 2 + 1] = u32::MAX;
-                            }
-                        }
-                    },
+                    move |reads, out| reduce_chunk(reads[0], out, n_len_r, base, k),
                 )?
             } else {
                 gpu.enqueue_kernel_timed(q_comp, &reduce_cost, &[ev_k])?
@@ -241,18 +272,7 @@ impl GpuEngine {
             let ev_out = if full {
                 let mut out = vec![0u32; m * k * 2];
                 let ev = gpu.enqueue_read(q_xfer, t_bufs[slot], 0, &mut out, &[ev_r], false)?;
-                let lists = matches.as_mut().expect("full mode");
-                for (q, list) in lists.iter_mut().enumerate() {
-                    let cands = (0..k).filter_map(|s| {
-                        let idx = out[(q * k + s) * 2];
-                        let d = out[(q * k + s) * 2 + 1];
-                        (idx != u32::MAX).then_some(Match {
-                            profile: idx as usize,
-                            differences: d,
-                        })
-                    });
-                    merge_topk(list, cands, k);
-                }
+                merge_winners(matches.as_mut().expect("full mode"), &out, k);
                 ev
             } else {
                 gpu.enqueue_virtual_transfer(q_xfer, t_bytes, &[ev_r])?
@@ -459,21 +479,7 @@ impl GpuEngine {
                         &[c_buf],
                         t_buf,
                         &[ev_k],
-                        move |reads, out| {
-                            let gamma = reads[0];
-                            for qi in 0..m {
-                                let row = &gamma[qi * n_len_r..(qi + 1) * n_len_r];
-                                let top = topk_of_row(row, base, k);
-                                for (slot_idx, mt) in top.iter().enumerate() {
-                                    out[(qi * k + slot_idx) * 2] = mt.profile as u32;
-                                    out[(qi * k + slot_idx) * 2 + 1] = mt.differences;
-                                }
-                                for s in top.len()..k {
-                                    out[(qi * k + s) * 2] = u32::MAX;
-                                    out[(qi * k + s) * 2 + 1] = u32::MAX;
-                                }
-                            }
-                        },
+                        move |reads, out| reduce_chunk(reads[0], out, n_len_r, base, k),
                     ),
                 )
             );
@@ -530,17 +536,7 @@ impl GpuEngine {
                     })));
                 }
             }
-            for (qi, list) in matches.iter_mut().enumerate() {
-                let cands = (0..k).filter_map(|s| {
-                    let idx = out[(qi * k + s) * 2];
-                    let d = out[(qi * k + s) * 2 + 1];
-                    (idx != u32::MAX).then_some(Match {
-                        profile: idx as usize,
-                        differences: d,
-                    })
-                });
-                merge_topk(list, cands, k);
-            }
+            merge_winners(&mut matches, &out, k);
             summary.verified_chunks += 1;
             metrics::CHECKPOINT_CHUNKS.add(1);
         }
@@ -572,7 +568,7 @@ impl GpuEngine {
             for nc in &plan.n_chunks[ci..] {
                 let sub = cpu.gamma(queries, &database.row_slice(nc.lo, nc.hi), op);
                 for (qi, list) in matches.iter_mut().enumerate() {
-                    merge_topk(list, topk_of_row(sub.row(qi), nc.lo, k), k);
+                    select_row(list, sub.row(qi), nc.lo, k);
                 }
                 fallback_ns += model.time_ns(kind, m, nc.len(), queries.words_per_row());
                 summary.cpu_fallback_chunks += 1;

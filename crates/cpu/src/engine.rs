@@ -101,10 +101,11 @@ impl CpuEngine {
         self.gamma(panel, panel, CompareOp::And)
     }
 
-    /// Linkage disequilibrium exploiting symmetry: computes only the upper
-    /// triangle of `γ` and mirrors it — identical results to
-    /// [`ld_self`](Self::ld_self) at roughly half the block work for large
-    /// panels (the SYRK-style saving).
+    /// Linkage disequilibrium exploiting symmetry: skips the blocks below
+    /// the diagonal and mirrors the upper triangle — identical results to
+    /// [`ld_self`](Self::ld_self). The work saved depends on how many
+    /// column blocks the panel spans; with the default blocking, none below
+    /// 5784 SNPs (see [`crate::symmetric`]).
     pub fn ld_self_symmetric(&self, panel: &BitMatrix<u64>) -> CountMatrix {
         crate::symmetric::gamma_self_symmetric(panel, CompareOp::And, &self.blocking)
     }

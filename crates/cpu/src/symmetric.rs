@@ -3,9 +3,16 @@
 //! Linkage disequilibrium compares a panel against itself with a symmetric
 //! operator (`popc(a & b) = popc(b & a)`, likewise XOR), so only the upper
 //! triangle of `γ` needs computing — the classical SYRK-style saving over
-//! GEMM, worth up to 2× on large panels. Blocks entirely below the diagonal
-//! are skipped; straddling blocks are computed whole; a final mirror pass
-//! fills the strict lower triangle.
+//! GEMM. A final mirror pass fills the strict lower triangle.
+//!
+//! The skip works at column-block granularity: an `m_c`-row block is
+//! skipped only when it lies entirely below the current `n_c`-column
+//! block; every other block, including each one the diagonal crosses, is
+//! computed whole. With the default blocking (`k_c` = 170, so `n_c` =
+//! 5784), a panel of up to 5784 SNPs is a single column block, nothing is
+//! skipped, and the full `γ` is computed before the mirror. The saving
+//! appears only on panels that span several column blocks, and approaches
+//! 2× only when they span many.
 
 use rayon::prelude::*;
 use snp_bitmat::{BitMatrix, CompareOp, CountMatrix, PackedPanels};
@@ -21,8 +28,9 @@ pub fn op_is_symmetric(op: CompareOp) -> bool {
 
 /// Self-comparison `γ = A ⋄ Aᵀ` computing only upper-triangle blocks, then
 /// mirroring. Results are identical to the full
-/// [`gamma_parallel`](crate::parallel::gamma_parallel) (tested), at roughly
-/// half the block work for large `m`.
+/// [`gamma_parallel`](crate::parallel::gamma_parallel) (tested); the block
+/// work saved grows with the number of `n_c` column blocks `m` spans (see
+/// the module doc).
 ///
 /// Panics if `op` is not symmetric or `blocking` is invalid.
 pub fn gamma_self_symmetric(
