@@ -132,6 +132,12 @@ fn bench_engine_square(c: &mut Criterion) {
             let e = CpuEngine::sequential();
             bench.iter(|| black_box(e.ld_self(black_box(p))))
         });
+        // The triangular path on the same panel and the same full-γ
+        // throughput count, so its rate reads against `parallel` directly.
+        g.bench_with_input(BenchmarkId::new("symmetric", snps), &panel, |bench, p| {
+            let e = CpuEngine::new();
+            bench.iter(|| black_box(e.ld_self_symmetric(black_box(p))))
+        });
     }
     g.finish();
 }

@@ -45,7 +45,7 @@ pub fn gamma_blocked_into(
                 let m_blk = blocking.m_c.min(m - ic);
                 let a_pack = PackedPanels::pack(a, ic, ic + m_blk, pc, pc + k_blk, MR);
                 let rows = &mut c.as_mut_slice()[ic * cols..(ic + m_blk) * cols];
-                macro_kernel(op, &a_pack, &b_pack, rows, m_blk, cols, jc, n_blk);
+                macro_kernel(op, &a_pack, &b_pack, rows, m_blk, cols, jc, n_blk, None);
             }
         }
     }
@@ -67,6 +67,12 @@ pub fn gamma_blocked(
 /// microkernel tile into the (row-major) `c_rows` slice, which covers
 /// `m_blk` full rows of γ starting at block-local row 0; the block's columns
 /// start at `jc` and span `n_blk`.
+///
+/// With `diag_row = Some(ic)` (the γ row of the block's first row, for a
+/// self-comparison) every tile that lies wholly below the diagonal is
+/// skipped: tile `(ip, jp)` is computed only while its column end
+/// `jc + jp·NR + NR` exceeds its first row `ic + ip·MR`. Tiles the diagonal
+/// crosses are computed whole. `None` computes every tile.
 #[allow(clippy::too_many_arguments)] // mirrors the BLIS macro-kernel signature
 pub(crate) fn macro_kernel(
     op: CompareOp,
@@ -77,12 +83,18 @@ pub(crate) fn macro_kernel(
     cols: usize,
     jc: usize,
     n_blk: usize,
+    diag_row: Option<usize>,
 ) {
     debug_assert_eq!(a_pack.k(), b_pack.k());
     let k = a_pack.k();
     for jp in 0..b_pack.panels() {
         let j0 = jp * NR;
-        for ip in 0..a_pack.panels() {
+        let ip_end = match diag_row {
+            Some(ic) => (jc + j0 + NR).saturating_sub(ic).div_ceil(MR),
+            None => usize::MAX,
+        }
+        .min(a_pack.panels());
+        for ip in 0..ip_end {
             let i0 = ip * MR;
             let mut acc = zero_tile();
             microkernel(op, k, a_pack.panel(ip), b_pack.panel(jp), &mut acc);

@@ -133,7 +133,9 @@ pub fn gamma_parallel_into_traced(
     let track = tracer.track("cpu parallel", TimeDomain::Wall);
     let run = tracer.begin_span(track, "run", run_name(resolved), tracer.wall_now_ns());
     let stats = match resolved {
-        ParallelSchedule::RowBlocks => row_blocks(a, b, op, blocking, c, tracer, track),
+        ParallelSchedule::RowBlocks => {
+            row_blocks(a, b, op, blocking, c, false, true, tracer, track)
+        }
         ParallelSchedule::ColumnStrips => column_strips(a, b, op, blocking, c, tracer, track),
         ParallelSchedule::Auto => unreachable!("resolved above"),
     };
@@ -174,12 +176,20 @@ pub fn gamma_parallel(
 /// `ic` split with the per-`pc` `Ã` cache: `pc` is the outermost loop so
 /// each `m_c × k_c` block of `Ã` is packed exactly once and reused across
 /// every `jc` iteration; tasks own disjoint `m_c`-row chunks of `γ`.
-fn row_blocks(
+///
+/// With `upper_only` (a self-comparison, `b` = `a`) the macro-kernel skips
+/// every tile wholly below the diagonal; see
+/// [`crate::symmetric::gamma_self_symmetric`]. Without `parallel` the row
+/// blocks run in order on the calling thread.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn row_blocks(
     a: &BitMatrix<u64>,
     b: &BitMatrix<u64>,
     op: CompareOp,
     blocking: &CpuBlocking,
     c: &mut CountMatrix,
+    upper_only: bool,
+    parallel: bool,
     tracer: &Tracer,
     track: TrackId,
 ) -> ParallelStats {
@@ -210,25 +220,45 @@ fn row_blocks(
         for jc in (0..n).step_by(blocking.n_c) {
             let n_blk = blocking.n_c.min(n - jc);
             let b_pack = PackedPanels::pack(b, jc, jc + n_blk, pc, pc + k_blk, NR);
-            c.as_mut_slice()
-                .par_chunks_mut(blocking.m_c * cols)
-                .enumerate()
-                .for_each(|(blk, rows)| {
-                    let ic = blk * blocking.m_c;
-                    let m_blk = blocking.m_c.min(m - ic);
-                    let t0 = tracer.wall_now_ns();
-                    macro_kernel(op, &a_packs[blk], &b_pack, rows, m_blk, cols, jc, n_blk);
-                    if tracer.is_enabled() {
-                        tracer.span_with(
-                            track,
-                            "task",
-                            format!("row block {blk}"),
-                            t0,
-                            tracer.wall_now_ns(),
-                            vec![("rows", (m_blk as u64).into()), ("jc", (jc as u64).into())],
-                        );
-                    }
-                });
+            let task = |(blk, rows): (usize, &mut [u32])| {
+                let ic = blk * blocking.m_c;
+                let m_blk = blocking.m_c.min(m - ic);
+                let t0 = tracer.wall_now_ns();
+                let diag_row = upper_only.then_some(ic);
+                macro_kernel(
+                    op,
+                    &a_packs[blk],
+                    &b_pack,
+                    rows,
+                    m_blk,
+                    cols,
+                    jc,
+                    n_blk,
+                    diag_row,
+                );
+                if tracer.is_enabled() {
+                    tracer.span_with(
+                        track,
+                        "task",
+                        format!("row block {blk}"),
+                        t0,
+                        tracer.wall_now_ns(),
+                        vec![("rows", (m_blk as u64).into()), ("jc", (jc as u64).into())],
+                    );
+                }
+            };
+            let block_len = blocking.m_c * cols;
+            if parallel {
+                c.as_mut_slice()
+                    .par_chunks_mut(block_len)
+                    .enumerate()
+                    .for_each(task);
+            } else {
+                c.as_mut_slice()
+                    .chunks_mut(block_len)
+                    .enumerate()
+                    .for_each(task);
+            }
         }
     }
     ParallelStats {
@@ -286,7 +316,7 @@ fn column_strips(
                     let ic = blk * blocking.m_c;
                     let m_blk = blocking.m_c.min(m - ic);
                     let rows = &mut strip[ic * n_blk..(ic + m_blk) * n_blk];
-                    macro_kernel(op, a_pack, &b_pack, rows, m_blk, n_blk, 0, n_blk);
+                    macro_kernel(op, a_pack, &b_pack, rows, m_blk, n_blk, 0, n_blk, None);
                 }
             }
             if tracer.is_enabled() {
@@ -471,6 +501,37 @@ mod tests {
                 t.start_ns >= run[0].start_ns && t.end_ns <= run[0].end_ns,
                 "task span must nest inside the run span"
             );
+        }
+    }
+
+    #[test]
+    fn sequential_row_blocks_run_in_order_on_the_calling_thread() {
+        let a = matrix(5 * MR + 3, 320, 14);
+        let blocking = blocking_small();
+        let tracer = snp_trace::Tracer::enabled();
+        let track = tracer.track("cpu parallel", TimeDomain::Wall);
+        let mut c = CountMatrix::zeros(a.rows(), a.rows());
+        row_blocks(
+            &a,
+            &a,
+            CompareOp::And,
+            &blocking,
+            &mut c,
+            true,
+            false,
+            &tracer,
+            track,
+        );
+        let trace = tracer.snapshot().expect("tracer is enabled");
+        let tasks: Vec<_> = trace.events_in_cat("task").collect();
+        let blocks = a.rows().div_ceil(blocking.m_c);
+        let steps = a.words_per_row().div_ceil(blocking.k_c) * a.rows().div_ceil(blocking.n_c);
+        assert_eq!(tasks.len(), steps * blocks);
+        for (i, t) in tasks.iter().enumerate() {
+            assert_eq!(t.name, format!("row block {}", i % blocks));
+        }
+        for pair in tasks.windows(2) {
+            assert!(pair[1].start_ns >= pair[0].end_ns, "row blocks overlapped");
         }
     }
 
